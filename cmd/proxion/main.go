@@ -6,7 +6,7 @@
 // Usage:
 //
 //	proxion [-contracts N] [-seed S] [-v] [-collisions-only]
-//	        [-window N] [-cache-capacity N] [-static=false]
+//	        [-window N] [-cache-capacity N]
 //	        [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
 //	        [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
 package main
@@ -48,7 +48,6 @@ func run() error {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable summary instead of text")
 	window := flag.Int("window", 0, "max in-flight contracts in the analysis pipeline (0 = engine default)")
 	cacheCap := flag.Int("cache-capacity", 0, "verdict-cache LRU bound in distinct bytecodes (0 = unbounded)")
-	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	resilient := flag.Bool("resilient", false, "route node reads through the resilient client even with faults off")
 	faults := flag.String("faults", "off", "fault-injection profile: off, "+profileNames())
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
@@ -93,9 +92,8 @@ func run() error {
 
 	det := proxion.NewDetector(reader)
 	res := det.AnalyzeAllWithOptions(pop.Registry, proxion.AnalyzeOptions{
-		Window:            *window,
-		CacheCapacity:     *cacheCap,
-		DisableStructural: !*staticOn,
+		Window:        *window,
+		CacheCapacity: *cacheCap,
 	})
 
 	if *jsonOut {
@@ -114,10 +112,6 @@ func run() error {
 			st.ContractsPerSec)
 		fmt.Printf("pipeline: %d emulations, %d cache hits (%.1f%% hit rate), %d aborts, %d getStorageAt calls\n",
 			st.Emulations, st.CacheHits, 100*st.CacheHitRate, st.EmulationAborts, st.StorageAPICalls)
-		if st.StructuralHits != 0 || st.StructuralRejects != 0 {
-			fmt.Printf("structural: %d near-clone promotions, %d static summaries, %d rejects\n",
-				st.StructuralHits, st.StaticSummaries, st.StructuralRejects)
-		}
 		if st.Retries != 0 || st.BreakerTrips != 0 || st.Unresolved != 0 {
 			fmt.Printf("resilience: %d read retries, %d breaker trips, %d unresolved contracts\n",
 				st.Retries, st.BreakerTrips, st.Unresolved)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	proxiond [-addr :8547] [-contracts N] [-seed S] [-shards N]
-//	         [-store DIR] [-window N] [-cache-capacity N] [-static=false]
+//	         [-store DIR] [-window N] [-cache-capacity N]
 //	         [-follow] [-follow-interval D]
 //	         [-resilient] [-faults PROFILE] [-fault-seed S] [-fault-depth D]
 //	         [-retries N] [-rpc-timeout D] [-backoff D] [-inflight N]
@@ -68,7 +68,6 @@ func run() error {
 	segBytes := flag.Int64("segment-bytes", 0, "verdict store segment size (0 = default)")
 	window := flag.Int("window", 0, "per-shard in-flight window (0 = engine default)")
 	cacheCap := flag.Int("cache-capacity", 0, "per-shard verdict-cache LRU bound (0 = unbounded)")
-	staticOn := flag.Bool("static", true, "structural near-clone promotion (second-level verdict-cache key)")
 	follow := flag.Bool("follow", false, "tail the chain: stream new deployments, invalidate on upgrades")
 	followInterval := flag.Duration("follow-interval", 250*time.Millisecond, "follower poll interval")
 	resilient := flag.Bool("resilient", false, "route node reads through the resilient client even with faults off")
@@ -94,13 +93,12 @@ func run() error {
 	// Per-shard readers: each shard gets its own resilient client so one
 	// shard's circuit breaker never gates another's reads.
 	cfg := serve.Config{
-		Sources:           pop.Registry,
-		Shards:            *shards,
-		StoreDir:          *storeDir,
-		StoreOptions:      store.Options{SegmentBytes: *segBytes},
-		Window:            *window,
-		CacheCapacity:     *cacheCap,
-		DisableStructural: !*staticOn,
+		Sources:       pop.Registry,
+		Shards:        *shards,
+		StoreDir:      *storeDir,
+		StoreOptions:  store.Options{SegmentBytes: *segBytes},
+		Window:        *window,
+		CacheCapacity: *cacheCap,
 	}
 	if *faults != "off" || *resilient {
 		copts := faultchain.Options{

@@ -1,21 +1,18 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 
 	"repro/internal/asm"
 	"repro/internal/chain"
 	"repro/internal/dataset"
-	"repro/internal/disasm"
 	"repro/internal/etypes"
 	"repro/internal/evm"
 	"repro/internal/faultchain"
 	"repro/internal/gen"
 	"repro/internal/keccak"
 	"repro/internal/proxion"
-	"repro/internal/solc"
 	"repro/internal/static"
 	"repro/internal/u256"
 )
@@ -129,13 +126,6 @@ func Suite(p Profile) []Workload {
 			Scale: d.corpus,
 			Batch: 1,
 			Setup: setupStaticSummary,
-		},
-		{
-			Name:  "pipeline/stream-nearclone",
-			Desc:  "streaming pipeline over a clone-heavy landscape (EIP-1167 stamps + slot twins): structural-promotion uplift",
-			Scale: d.pipeline,
-			Batch: 1,
-			Setup: setupNearClonePipeline,
 		},
 		{
 			Name:  "collision/storage-slicing",
@@ -286,69 +276,6 @@ func setupStaticSummary(seed int64, scale int) Instance {
 				"selectors_recovered":  selectors,
 				"const_slot_reads":     slotReads,
 			}
-		},
-		Counters: func() map[string]int64 { return last },
-	}
-}
-
-// NearCloneMix is the composition of the stream-nearclone landscape for
-// a given scale, mirroring the mainnet skew the paper reports (~89% of
-// proxies are EIP-1167 stamps): 60% minimal-proxy stamps of distinct
-// logic addresses, 25% compiler twins differing only in their 32-byte
-// implementation-slot constant, 15% byte-identical duplicates of the
-// first stamp. Exported so the uplift test derives its expected counter
-// values from the same arithmetic the workload uses.
-func NearCloneMix(scale int) (stamps, twins, dupes int) {
-	stamps = scale * 60 / 100
-	twins = scale * 25 / 100
-	dupes = scale - stamps - twins
-	return stamps, twins, dupes
-}
-
-// nearCloneAddr derives a deterministic address for one landscape slot.
-func nearCloneAddr(tag byte, i int) etypes.Address {
-	var a etypes.Address
-	a[0], a[1] = 0xbc, tag
-	binary.BigEndian.PutUint32(a[15:19], uint32(i))
-	return a
-}
-
-// setupNearClonePipeline streams a landscape dominated by near-clones —
-// distinct bytecodes the exact-hash verdict cache can never coalesce —
-// through the full pipeline. The structural second-level cache key
-// should collapse each clone family to one emulation; the workload's
-// counters (structural_hits, emulations, cache_hits) make the uplift a
-// gated, machine-independent quantity rather than a timing artifact.
-func setupNearClonePipeline(seed int64, scale int) Instance {
-	stamps, twins, dupes := NearCloneMix(scale)
-	st := chain.New()
-	st.AdvanceTo(1)
-	for i := 0; i < stamps; i++ {
-		st.InstallContract(nearCloneAddr(0x01, i),
-			disasm.MinimalProxyRuntime(nearCloneAddr(0xee, i)))
-	}
-	for i := 0; i < twins; i++ {
-		addr := nearCloneAddr(0x02, i)
-		slot := etypes.Keccak(addr[:])
-		st.InstallContract(addr, solc.MustCompile(&solc.Contract{
-			Name:     fmt.Sprintf("Twin%d", i),
-			Fallback: solc.Fallback{Kind: solc.FallbackDelegateStorage, Slot: slot},
-		}))
-		logic := nearCloneAddr(0xdd, i)
-		st.SetStorageDirect(addr, slot, etypes.HashFromWord(logic.Word()))
-	}
-	// Byte-identical duplicates of the first stamp: the exact-hash tier's
-	// share of the landscape.
-	for i := 0; i < dupes; i++ {
-		st.InstallContract(nearCloneAddr(0x03, i),
-			disasm.MinimalProxyRuntime(nearCloneAddr(0xee, 0)))
-	}
-	var last map[string]int64
-	return Instance{
-		Op: func() {
-			det := proxion.NewDetector(st)
-			res := det.AnalyzeAllWithOptions(nil, proxion.AnalyzeOptions{})
-			last = res.Stats.Counters()
 		},
 		Counters: func() map[string]int64 { return last },
 	}

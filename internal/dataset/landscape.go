@@ -170,8 +170,8 @@ type generator struct {
 	// mode). Streaming generation turns it off so the corpus never
 	// accumulates in memory.
 	retain bool
-	// emit, when set, receives each label the moment its contract is on
-	// chain — the streaming tap. It may block; that blocking is the
+	// emit, when set, receives each label once its contract's state is
+	// final (see publish) — the streaming tap. It may block; that blocking is the
 	// generator's backpressure.
 	emit func(*Label)
 	// keepAlive, when set, marks addresses that must survive streaming
@@ -209,30 +209,49 @@ func (p *Population) newAddr() etypes.Address {
 	return etypes.Address(buf)
 }
 
-// add installs code, records the label, and registers source if published.
-// In streaming mode the label is handed to the emit tap instead of (or in
-// addition to) the retained slices.
-func (g *generator) add(l *Label, code []byte, src *solc.Contract) *Label {
+// install puts code on chain under the label's address (minting one if
+// unset) and registers source if published. The label is not recorded
+// yet: the caller finishes the contract's state (storage, transactions,
+// self-destruct, immediate upgrades) and then calls publish.
+func (g *generator) install(l *Label, code []byte, src *solc.Contract) {
 	if l.Address.IsZero() {
 		l.Address = g.pop.newAddr()
 	}
 	g.pop.Chain.InstallContract(l.Address, code)
+	if l.HasSource && src != nil {
+		g.pop.Registry.Publish(l.Address, src, l.CompilerKnown)
+	}
+}
+
+// publish records a label whose contract has reached its final generated
+// state: appended to the retained slices in batch mode, handed to the
+// emit tap in streaming mode. Both see labels in the same order. Only
+// upgrades scheduled for a later year still change a published proxy
+// (see LabelStream).
+func (g *generator) publish(l *Label) {
 	if g.retain {
 		g.pop.Labels = append(g.pop.Labels, l)
 		g.pop.ByAddr[l.Address] = l
 	}
-	if l.HasSource && src != nil {
-		g.pop.Registry.Publish(l.Address, src, l.CompilerKnown)
-	}
 	if g.emit != nil {
 		g.emit(l)
 	}
-	return l
 }
 
-// compileAndAdd compiles src and installs it.
-func (g *generator) compileAndAdd(l *Label, src *solc.Contract) *Label {
-	return g.add(l, solc.MustCompile(src), src)
+// add installs a contract that is final as deployed and publishes it.
+func (g *generator) add(l *Label, code []byte, src *solc.Contract) {
+	g.install(l, code, src)
+	g.publish(l)
+}
+
+// compileAndAdd compiles src, installs it and publishes the label.
+func (g *generator) compileAndAdd(l *Label, src *solc.Contract) {
+	g.add(l, solc.MustCompile(src), src)
+}
+
+// compileAndInstall compiles src and installs it without publishing.
+func (g *generator) compileAndInstall(l *Label, src *solc.Contract) {
+	g.install(l, solc.MustCompile(src), src)
 }
 
 // sourceDice rolls source/compiler availability with kind-dependent odds:
@@ -405,8 +424,9 @@ func (g *generator) addMinimalClone(year int, logic etypes.Address, template int
 		Name:     "MinimalProxy",
 		Fallback: solc.Fallback{Kind: solc.FallbackDelegateHardcoded, Target: logic},
 	}
-	g.add(l, disasm.MinimalProxyRuntime(logic), src)
+	g.install(l, disasm.MinimalProxyRuntime(logic), src)
 	g.maybeTransact(l)
+	g.publish(l)
 }
 
 func (g *generator) addOwnableProxy(year int) {
@@ -419,9 +439,10 @@ func (g *generator) addOwnableProxy(year int) {
 	}
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
 	l.HasTx = g.txDice(true)
-	g.compileAndAdd(l, proxySrc)
+	g.compileAndInstall(l, proxySrc)
 	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(g.ownableLogic.Word()))
 	g.maybeTransact(l)
+	g.publish(l)
 }
 
 func (g *generator) addStandardProxy(year int, kind Kind) {
@@ -444,10 +465,11 @@ func (g *generator) addStandardProxy(year int, kind Kind) {
 	}
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
 	l.HasTx = g.txDice(true)
-	g.compileAndAdd(l, src)
+	g.compileAndInstall(l, src)
 	g.pop.Chain.SetStorageDirect(l.Address, slot, etypes.HashFromWord(logic.Word()))
 	g.maybeTransact(l)
 	g.maybeScheduleUpgrades(l, year, slot)
+	g.publish(l)
 }
 
 // addAdHocProxy deploys a non-standard storage proxy; a small fraction are
@@ -471,10 +493,11 @@ func (g *generator) addAdHocProxy(year int) {
 		}
 		l.HasSource, l.CompilerKnown = g.sourceDice(true)
 		l.HasTx = g.txDice(true)
-		g.compileAndAdd(l, proxySrc)
+		g.compileAndInstall(l, proxySrc)
 		g.pop.Chain.SetStorageDirect(l.Address, slot, etypes.HashFromWord(logic.Word()))
 		g.maybeTransact(l)
 		g.maybeScheduleUpgrades(l, year, slot)
+		g.publish(l)
 	}
 }
 
@@ -493,8 +516,9 @@ func (g *generator) addHoneypot(year int) {
 		TrueFunctionCollision: true, ImplSlot: implSlot1,
 	}
 	// Hidden: deliberately no source and no transactions.
-	g.compileAndAdd(l, proxySrc)
+	g.compileAndInstall(l, proxySrc)
 	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(logicLabel.Address.Word()))
+	g.publish(l)
 }
 
 // addAudius deploys the Listing 2 exploitable storage collision.
@@ -515,9 +539,10 @@ func (g *generator) addAudius(year int) {
 	// A third of the vulnerable pairs never transact: the hidden collisions
 	// only Proxion can reach (Section 6.2).
 	l.HasTx = g.rng.Float64() < 0.67
-	g.compileAndAdd(l, proxySrc)
+	g.compileAndInstall(l, proxySrc)
 	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(logicLabel.Address.Word()))
 	g.maybeTransact(l)
+	g.publish(l)
 }
 
 func (g *generator) addDiamond(year int) {
@@ -534,7 +559,7 @@ func (g *generator) addDiamond(year int) {
 		TemplateID: g.templateSeq,
 	}
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
-	g.compileAndAdd(l, src)
+	g.compileAndInstall(l, src)
 	// Register the facet's selector in the diamond mapping.
 	sel := facetSrc.Funcs[0].ABI.Selector()
 	selWord := u256.FromBytes(sel[:])
@@ -553,6 +578,7 @@ func (g *generator) addDiamond(year int) {
 		sender := etypes.MustAddress("0x00000000000000000000000000000000000edca1")
 		g.pop.Chain.Execute(sender, l.Address, abi.EncodeCall(sel), 2_000_000, u256.Zero())
 	}
+	g.publish(l)
 }
 
 func (g *generator) addHostileProxy(year int) {
@@ -563,8 +589,9 @@ func (g *generator) addHostileProxy(year int) {
 		TemplateID: g.templateSeq, ImplSlot: implSlot1,
 	}
 	l.HasSource, l.CompilerKnown = g.sourceDice(true)
-	g.add(l, hostileProxy(), hostileProxySource())
+	g.install(l, hostileProxy(), hostileProxySource())
 	g.pop.Chain.SetStorageDirect(l.Address, implSlot1, etypes.HashFromWord(logic.Word()))
+	g.publish(l)
 }
 
 // generateNonProxy deploys plain contracts, tokens, library users, and the
@@ -588,16 +615,18 @@ func (g *generator) generateNonProxy(year int) {
 		l := &Label{Kind: KindPlain, Year: year, TemplateID: 200 + g.templateSeq%23}
 		l.HasSource, l.CompilerKnown = g.sourceDice(false)
 		l.HasTx = g.txDice(false)
-		g.compileAndAdd(l, src)
+		g.compileAndInstall(l, src)
 		g.maybeTransact(l)
+		g.publish(l)
 	default:
 		g.templateSeq++
 		src := tokenContract(g.templateSeq % 31)
 		l := &Label{Kind: KindToken, Year: year, TemplateID: 300 + g.templateSeq%31}
 		l.HasSource, l.CompilerKnown = g.sourceDice(false)
 		l.HasTx = g.txDice(false)
-		g.compileAndAdd(l, src)
+		g.compileAndInstall(l, src)
 		g.maybeTransact(l)
+		g.publish(l)
 	}
 }
 
@@ -608,9 +637,10 @@ func (g *generator) generateNonProxy(year int) {
 func (g *generator) addDestroyed(year int) {
 	g.templateSeq++
 	l := &Label{Kind: KindDestroyed, Year: year, TemplateID: g.templateSeq, HasTx: true}
-	g.add(l, suicideBytecode(), nil)
+	g.install(l, suicideBytecode(), nil)
 	killer := etypes.MustAddress("0x00000000000000000000000000000000000edca2")
 	g.pop.Chain.Execute(killer, l.Address, nil, 2_000_000, u256.Zero())
+	g.publish(l)
 }
 
 // addLibraryUser deploys a contract delegatecalling a shared library with
@@ -630,8 +660,9 @@ func (g *generator) addLibraryUser(year int) {
 	}
 	l.HasSource, l.CompilerKnown = g.sourceDice(false)
 	l.HasTx = true // library users transact: that is how CRUSH sees them
-	g.compileAndAdd(l, userSrc)
+	g.compileAndInstall(l, userSrc)
 	g.maybeTransact(l)
+	g.publish(l)
 }
 
 // maybeTransact executes one external transaction against the contract so

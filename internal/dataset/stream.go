@@ -34,15 +34,16 @@ var errStreamAborted = errors.New("dataset: label stream closed")
 
 // LabelStream is a landscape being generated on demand. Labels arrive on
 // C in exactly the order Generate would have appended them to
-// Population.Labels — the parity contract — and each label is emitted the
-// moment its contract is live on Chain, so a consumer can analyze it
-// immediately. The channel send is the generator's backpressure: a
-// consumer that stops reading stops generation, holding the whole
-// producer side at a bounded working set.
+// Population.Labels — the parity contract — and each label is emitted
+// once its contract's generated state is final (deployed, storage
+// written, transacted against, self-destructed, immediately upgraded), so
+// a consumer can analyze it immediately. The channel send is the
+// generator's backpressure: a consumer that stops reading stops
+// generation, holding the whole producer side at a bounded working set.
 //
-// Caveat: labels are pointers the generator may still mutate — a proxy's
-// Upgrades/Logic fields change when a scheduled upgrade lands, possibly
-// long after emission. Ground truth is final only once C closes.
+// Caveat: an upgrade scheduled for a later year still mutates its proxy
+// after emission — the implementation slot and the label's Upgrades/Logic
+// fields change when it lands. Ground truth is final only once C closes.
 type LabelStream struct {
 	// C delivers the labels; closed when generation completes.
 	C <-chan *Label

@@ -45,11 +45,17 @@ type Engine struct {
 	wg     sync.WaitGroup
 	stages []*Stage
 	start  time.Time
-	// wall is the frozen run duration in nanoseconds (0 while running).
-	// Wait writes it and concurrent observers (live progress reporting,
-	// soak samplers) read it through Wall, so it must be atomic.
+	// wall is the largest duration Wall has handed out, in nanoseconds,
+	// with wallFrozen set once Wait has fixed it. Every update is a CAS
+	// that only raises the value, so concurrent observers (live progress
+	// reporting, soak samplers) never see the clock go backwards, and the
+	// frozen value is at least every reading taken before the freeze.
 	wall atomic.Int64
 }
+
+// wallFrozen marks Engine.wall as final; the remaining bits hold the
+// duration.
+const wallFrozen = int64(1) << 62
 
 // New creates an empty engine and starts its wall clock.
 func New() *Engine {
@@ -81,16 +87,31 @@ func (e *Engine) Go(f func()) {
 // engine's wall clock.
 func (e *Engine) Wait() {
 	e.wg.Wait()
-	e.wall.Store(int64(time.Since(e.start)))
+	for {
+		w := e.wall.Load()
+		if w&wallFrozen != 0 {
+			return
+		}
+		if e.wall.CompareAndSwap(w, max(w, int64(time.Since(e.start)))|wallFrozen) {
+			return
+		}
+	}
 }
 
 // Wall returns the run's duration: live while running, frozen after Wait.
-// Safe to call from any goroutine while the pipeline runs.
+// Safe to call from any goroutine while the pipeline runs; successive
+// readings never decrease.
 func (e *Engine) Wall() time.Duration {
-	if w := e.wall.Load(); w > 0 {
-		return time.Duration(w)
+	for {
+		w := e.wall.Load()
+		if w&wallFrozen != 0 {
+			return time.Duration(w &^ wallFrozen)
+		}
+		now := int64(time.Since(e.start))
+		if now <= w || e.wall.CompareAndSwap(w, now) {
+			return time.Duration(max(w, now))
+		}
 	}
-	return time.Since(e.start)
 }
 
 // Run launches the stage's worker pool over the in channel. Each worker

@@ -26,23 +26,9 @@ type Stats struct {
 	FilterRejected Counter
 	// Emulations counts full EVM emulation probes actually executed.
 	Emulations Counter
-	// CacheHits counts detection verdicts served from the bytecode-dedup
-	// cache instead of a fresh emulation — exact bytecode-hash hits plus
-	// structural near-clone promotions.
+	// CacheHits counts detection verdicts served from the exact
+	// bytecode-hash dedup cache instead of a fresh emulation.
 	CacheHits Counter
-	// StructuralHits counts the subset of CacheHits served by structural
-	// fingerprint promotion: a distinct bytecode whose verdict was
-	// re-anchored from its near-clone family exemplar without emulating.
-	StructuralHits Counter
-	// StaticSummaries counts static bytecode analyses performed by the
-	// structural layer (family exemplar cross-checks and follower
-	// promotion attempts).
-	StaticSummaries Counter
-	// StructuralRejects counts contracts the structural layer examined and
-	// refused — an exemplar whose static summary disagreed with its
-	// dynamic verdict, or a follower whose summary did not fit its family
-	// — falling back to a fresh emulation.
-	StructuralRejects Counter
 	// EmulationAborts counts probes that ended in a terminal EVM error.
 	EmulationAborts Counter
 	// ProxiesDetected counts positive verdicts.
@@ -88,13 +74,18 @@ type Snapshot struct {
 	NoCode         int64 `json:"no_code"`
 	FilterRejected int64 `json:"filter_rejected"`
 
-	Emulations        int64   `json:"emulations"`
-	CacheHits         int64   `json:"cache_hits"`
-	CacheHitRate      float64 `json:"cache_hit_rate"`
-	StructuralHits    int64   `json:"structural_hits"`
-	StaticSummaries   int64   `json:"static_summaries"`
-	StructuralRejects int64   `json:"structural_rejects"`
-	EmulationAborts   int64   `json:"emulation_aborts"`
+	Emulations      int64   `json:"emulations"`
+	CacheHits       int64   `json:"cache_hits"`
+	CacheHitRate    float64 `json:"cache_hit_rate"`
+	EmulationAborts int64   `json:"emulation_aborts"`
+
+	// StructuralHits and StaticSummaries are always 0: the detector no
+	// longer has a structural near-clone tier, so nothing sets them. They
+	// are neither serialized nor part of Counters, and stay only because
+	// the benchmark harness in perfbench/ still reads them; the next change
+	// to that harness removes them.
+	StructuralHits  int64 `json:"-"`
+	StaticSummaries int64 `json:"-"`
 
 	ProxiesDetected    int64 `json:"proxies_detected"`
 	PairsAnalyzed      int64 `json:"pairs_analyzed"`
@@ -125,9 +116,6 @@ func (s *Snapshot) Counters() map[string]int64 {
 		"filter_rejected":      s.FilterRejected,
 		"emulations":           s.Emulations,
 		"cache_hits":           s.CacheHits,
-		"structural_hits":      s.StructuralHits,
-		"static_summaries":     s.StaticSummaries,
-		"structural_rejects":   s.StructuralRejects,
 		"emulation_aborts":     s.EmulationAborts,
 		"proxies_detected":     s.ProxiesDetected,
 		"pairs_analyzed":       s.PairsAnalyzed,
@@ -154,9 +142,6 @@ func (e *Engine) Snapshot(st *Stats) *Snapshot {
 		FilterRejected:     st.FilterRejected.Load(),
 		Emulations:         st.Emulations.Load(),
 		CacheHits:          st.CacheHits.Load(),
-		StructuralHits:     st.StructuralHits.Load(),
-		StaticSummaries:    st.StaticSummaries.Load(),
-		StructuralRejects:  st.StructuralRejects.Load(),
 		EmulationAborts:    st.EmulationAborts.Load(),
 		ProxiesDetected:    st.ProxiesDetected.Load(),
 		PairsAnalyzed:      st.PairsAnalyzed.Load(),

@@ -180,9 +180,6 @@ func TestSnapshotCountersExport(t *testing.T) {
 		"filter_rejected":       0,
 		"emulations":            n,
 		"cache_hits":            0,
-		"structural_hits":       0,
-		"static_summaries":      0,
-		"structural_rejects":    0,
 		"emulation_aborts":      0,
 		"proxies_detected":      n,
 		"pairs_analyzed":        0,

@@ -163,11 +163,6 @@ type Detector struct {
 	// — the streaming engine's biggest throughput lever, since 98.7% of
 	// deployed contracts are duplicates (Table 3 / Figure 5).
 	verdicts *verdictCache
-	// structural is the second-level verdict key: near-clone families by
-	// static fingerprint, promoted without emulation (structural.go).
-	structural *structuralIndex
-	// structuralOff disables structural promotion (exact-hash dedup only).
-	structuralOff bool
 }
 
 // NewDetector creates a detector over the given node surface.
@@ -179,7 +174,6 @@ func NewDetector(c chain.Reader) *Detector {
 		accessCache:  newAccessCache(),
 		viewCache:    newViewCache(),
 		verdicts:     newVerdictCache(),
-		structural:   newStructuralIndex(),
 	}
 }
 

@@ -46,15 +46,8 @@ type AnalyzeOptions struct {
 	// whole run — fine for batch runs, not for million-contract streams).
 	CacheCapacity int
 	// DisableDedup turns off the bytecode-dedup verdict cache, probing
-	// every address with a fresh emulation — the ablation mode. It implies
-	// DisableStructural (the structural index is a second-level key of the
-	// verdict cache).
+	// every address with a fresh emulation — the ablation mode.
 	DisableDedup bool
-	// DisableStructural turns off the second-level structural-fingerprint
-	// promotion, keeping only the exact bytecode-hash dedup: near-clones
-	// (EIP-1167 stamps, compiler twins) are each emulated once instead of
-	// being promoted from their family exemplar.
-	DisableStructural bool
 	// WithHistory enables the logic-history stage: each storage proxy's
 	// full implementation history is recovered with Algorithm 1 and every
 	// historical pair is collision-analyzed into Result.Histories (or the
@@ -186,9 +179,7 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	}
 	if !opts.DisableDedup {
 		d.verdicts.setCapacity(opts.CacheCapacity)
-		d.structural.setCapacity(opts.CacheCapacity)
 	}
-	d.structuralOff = opts.DisableStructural
 
 	eng := pipeline.New()
 	stats := opts.Stats
@@ -261,9 +252,7 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 	}, func() { close(probeCh) })
 
 	// Stage 2 — emulation probe (Section 4.2), one emulation per *unique*
-	// runtime bytecode thanks to the verdict cache, and one per *structural
-	// family* of cleanly forwarding near-clones thanks to the second-level
-	// fingerprint index.
+	// runtime bytecode thanks to the verdict cache.
 	pipeline.Run(eng, stProbe, probeCh, func(it probeItem) {
 		var rep Report
 		re := chain.CaptureReadError(func() {
@@ -271,22 +260,12 @@ func (d *Detector) AnalyzeStream(src AddressSource, sources SourceProvider, sink
 				rep = d.emulateProbe(it.addr, it.code, CraftCallData(it.addr, it.code)).rep
 				stats.Emulations.Add(1)
 			} else {
-				var tr probeTrace
-				rep, tr = d.checkDeduped(it.addr, it.code)
-				switch tr.source {
-				case sourceExactHit:
+				var hit bool
+				rep, hit = d.checkDeduped(it.addr, it.code)
+				if hit {
 					stats.CacheHits.Add(1)
-				case sourceStructuralHit:
-					stats.CacheHits.Add(1)
-					stats.StructuralHits.Add(1)
-				default:
+				} else {
 					stats.Emulations.Add(1)
-				}
-				if tr.analyzed {
-					stats.StaticSummaries.Add(1)
-				}
-				if tr.rejected {
-					stats.StructuralRejects.Add(1)
 				}
 			}
 		})

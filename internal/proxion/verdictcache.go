@@ -168,16 +168,6 @@ func (d *Detector) InvalidateVerdict(codeHash etypes.Hash) bool {
 	return d.verdicts.invalidate(codeHash)
 }
 
-// InvalidateStructural drops the structural near-clone family for one
-// static fingerprint, reporting whether a family existed. The next code
-// hash carrying the fingerprint becomes a fresh leader, so re-registration
-// reads live chain state. Used by the follower after an upgrade event:
-// promotion re-reads the candidate's own storage, but the family's
-// registered target shape was proven against pre-upgrade state.
-func (d *Detector) InvalidateStructural(fp etypes.Hash) bool {
-	return d.structural.invalidate(fp)
-}
-
 // codeVerdict is the memoized detection state of one distinct runtime
 // bytecode. The first emulation (under once) records which guard slots the
 // fallback reads; afterwards verdicts are stored and looked up by the
@@ -210,23 +200,26 @@ type probeVerdict struct {
 }
 
 // checkDeduped runs the detection step for a contract that already passed
-// the disassembly filter, serving the verdict from the two-level dedup
-// cache when possible: level one is the exact bytecode hash, level two the
-// structural fingerprint (see structural.go). It returns the report
-// (without Standard, which the classification stage adds) and the trace
-// saying how the verdict was obtained.
-func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probeTrace) {
+// the disassembly filter, serving the verdict from the exact-bytecode
+// verdict cache when possible. It returns the report (without Standard,
+// which the classification stage adds) and whether the cache served it
+// without an emulation.
+func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (rep Report, hit bool) {
 	entry := d.verdicts.entry(d.chain.CodeHash(addr))
 
-	var recorded Report
-	var recordedTrace probeTrace
 	fresh := false
 	entry.once.Do(func() {
 		fresh = true
-		recorded, recordedTrace = d.recordFirst(entry, addr, code)
+		out := d.emulateProbe(addr, code, CraftCallData(addr, code))
+		entry.firstAddr = addr
+		entry.guardSlots = out.guardSlots
+		entry.byFP = map[etypes.Hash]*probeVerdict{
+			d.guardFingerprint(addr, entry.guardSlots): verdictOf(out.rep),
+		}
+		rep = out.rep
 	})
 	if fresh {
-		return recorded, recordedTrace
+		return rep, false
 	}
 
 	// A recording run that panicked with a read failure consumes the Once
@@ -237,7 +230,7 @@ func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probe
 	poisoned := entry.byFP == nil
 	entry.mu.Unlock()
 	if poisoned {
-		return d.emulateProbe(addr, code, CraftCallData(addr, code)).rep, probeTrace{}
+		return d.emulateProbe(addr, code, CraftCallData(addr, code)).rep, false
 	}
 
 	fp := d.guardFingerprint(addr, entry.guardSlots)
@@ -245,7 +238,7 @@ func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probe
 	v, ok := entry.byFP[fp]
 	entry.mu.Unlock()
 	if ok && d.transferable(v, addr, entry.firstAddr) {
-		return d.anchorVerdict(addr, v), probeTrace{source: sourceExactHit}
+		return d.anchorVerdict(addr, v), true
 	}
 
 	out := d.emulateProbe(addr, code, CraftCallData(addr, code))
@@ -257,7 +250,7 @@ func (d *Detector) checkDeduped(addr etypes.Address, code []byte) (Report, probe
 		}
 		entry.mu.Unlock()
 	}
-	return out.rep, probeTrace{}
+	return out.rep, false
 }
 
 // verdictOf compresses a probe report into its cacheable core.

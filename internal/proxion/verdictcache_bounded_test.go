@@ -209,28 +209,26 @@ func TestBoundedCacheNoStaleVerdictAfterInvalidate(t *testing.T) {
 	}
 
 	d := NewDetector(c)
-	if _, tr := d.checkDeduped(p1, code); tr.source != sourceEmulated {
+	if _, hit := d.checkDeduped(p1, code); hit {
 		t.Fatal("first probe cannot be a cache hit")
 	}
-	if _, tr := d.checkDeduped(p2, code); tr.source != sourceExactHit {
+	if _, hit := d.checkDeduped(p2, code); !hit {
 		t.Fatal("duplicate with identical guard state should hit")
 	}
 
-	// Invalidation drops the exact-hash verdict. The structural family
-	// survives (its registration depends only on the code shape, which
-	// invalidation does not dispute) and re-anchors the re-probe from p2's
-	// own storage — fresh state, so nothing stale is served; what must not
-	// happen is a hit on the dropped exact entry.
+	// Invalidation drops the exact-hash verdict, so the re-probe of p2
+	// emulates against its own live storage: nothing stale is served, and
+	// what must not happen is a hit on the dropped entry.
 	d.InvalidateVerdict(c.CodeHash(p1))
-	rep, tr := d.checkDeduped(p2, code)
-	if tr.source == sourceExactHit {
+	rep, hit := d.checkDeduped(p2, code)
+	if hit {
 		t.Fatal("verdict served from the exact cache after invalidation")
 	}
 	if !rep.IsProxy || rep.Logic != logic {
 		t.Fatalf("re-recorded verdict wrong: proxy=%v logic=%s", rep.IsProxy, rep.Logic)
 	}
 	// And the re-recorded verdict serves duplicates again.
-	if _, tr := d.checkDeduped(p1, code); tr.source != sourceExactHit {
+	if _, hit := d.checkDeduped(p1, code); !hit {
 		t.Fatal("cache did not repopulate after invalidation")
 	}
 }

@@ -228,9 +228,6 @@ func liveSnapshot(st *pipeline.Stats) *pipeline.Snapshot {
 		FilterRejected:     st.FilterRejected.Load(),
 		Emulations:         st.Emulations.Load(),
 		CacheHits:          st.CacheHits.Load(),
-		StructuralHits:     st.StructuralHits.Load(),
-		StaticSummaries:    st.StaticSummaries.Load(),
-		StructuralRejects:  st.StructuralRejects.Load(),
 		EmulationAborts:    st.EmulationAborts.Load(),
 		ProxiesDetected:    st.ProxiesDetected.Load(),
 		PairsAnalyzed:      st.PairsAnalyzed.Load(),

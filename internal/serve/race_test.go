@@ -25,15 +25,21 @@ func TestShardConcurrencyMatrix(t *testing.T) {
 			srv, ts := newTestServer(t, c, Config{Shards: shards, StoreDir: t.TempDir()})
 			addrs := c.Chain.Contracts()
 
-			var wg sync.WaitGroup
 			// Lookup workers: interleaved orders so shards see contention.
+			// The stride is coprime to the corpus size, so every worker's
+			// walk visits every address once per round.
+			stride := 7
+			for gcd(stride, len(addrs)) != 1 {
+				stride++
+			}
+			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for r := 0; r < rounds; r++ {
 						for i := range addrs {
-							a := addrs[(i*7+w)%len(addrs)]
+							a := addrs[(i*stride+w)%len(addrs)]
 							if _, err := srv.Lookup(a); err != nil {
 								t.Errorf("Lookup: %v", err)
 								return
@@ -75,6 +81,14 @@ func TestShardConcurrencyMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gcd returns the greatest common divisor of a and b.
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // TestConcurrentLookupAndClose races shutdown against live traffic: every

@@ -164,3 +164,45 @@ func TestPersistenceOffStillServes(t *testing.T) {
 		t.Fatalf("ephemeral server reported store activity: %+v", st)
 	}
 }
+
+// TestStoreErrorsCountedVerdictStillServed forces every verdict-store
+// append to fail (the store is closed under the running server) and
+// checks that each failure is counted and surfaced in /v1/stats while
+// every lookup still returns the verdict a fresh detector computes.
+func TestStoreErrorsCountedVerdictStillServed(t *testing.T) {
+	c := testCorpus(t, 61, 24)
+	srv, ts := newTestServer(t, c, Config{Shards: 2, StoreDir: t.TempDir()})
+	if err := srv.st.Close(); err != nil {
+		t.Fatalf("closing the store: %v", err)
+	}
+
+	ref := referenceItems(t, c)
+	for _, a := range c.Chain.Contracts() {
+		it, err := srv.Lookup(a)
+		if err != nil {
+			t.Fatalf("Lookup(%s): %v", a.Hex(), err)
+		}
+		got, _ := json.Marshal(verdictOf(it.Report))
+		want, _ := json.Marshal(verdictOf(ref[a].Report))
+		if string(got) != string(want) {
+			t.Fatalf("verdict for %s with a failing store:\n got: %s\nwant: %s", a.Hex(), got, want)
+		}
+	}
+
+	n := srv.Counters().StoreErrors
+	if n == 0 {
+		t.Fatal("no store errors counted although every append failed")
+	}
+	if st := srv.StoreStats(); st.Appended != 0 {
+		t.Fatalf("closed store appended %d entries", st.Appended)
+	}
+	var stats struct {
+		Counters struct {
+			StoreErrors int64 `json:"store_errors"`
+		} `json:"counters"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Counters.StoreErrors != n {
+		t.Fatalf("/v1/stats store_errors = %d, want %d", stats.Counters.StoreErrors, n)
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/etypes"
 	"repro/internal/pipeline"
 	"repro/internal/proxion"
-	"repro/internal/static"
 	"repro/internal/store"
 )
 
@@ -61,9 +60,6 @@ type Config struct {
 	ResultCacheSize int
 	// WithHistory enables the logic-history stage in every shard.
 	WithHistory bool
-	// DisableStructural turns off structural near-clone promotion in every
-	// shard's engine (see proxion.AnalyzeOptions.DisableStructural).
-	DisableStructural bool
 }
 
 // Counters are the server-level request statistics.
@@ -76,6 +72,9 @@ type Counters struct {
 	Coalesced int64 `json:"coalesced"`
 	// Analyses counts items actually analyzed by shard engines.
 	Analyses int64 `json:"analyses"`
+	// StoreErrors counts verdict-store appends that failed. Each such
+	// verdict is still served from memory but will not survive a restart.
+	StoreErrors int64 `json:"store_errors"`
 }
 
 // Server is the sharded scan service. Create with New, serve its
@@ -96,6 +95,7 @@ type Server struct {
 	cacheHits atomic.Int64
 	coalesced atomic.Int64
 	analyses  atomic.Int64
+	storeErrs atomic.Int64
 
 	// watchStats holds the follower stats callback (func() any) served by
 	// /v1/watch/stats; nil until SetWatchStats.
@@ -204,11 +204,10 @@ func (s *Server) runShard(sh *shard) {
 	})
 	sink := proxion.SinkFunc(func(it proxion.Item) { s.finish(sh, it) })
 	snap := sh.detector.AnalyzeStream(src, s.cfg.Sources, sink, proxion.AnalyzeOptions{
-		Window:            s.cfg.Window,
-		CacheCapacity:     s.cfg.CacheCapacity,
-		WithHistory:       s.cfg.WithHistory,
-		DisableStructural: s.cfg.DisableStructural,
-		Stats:             &sh.stats,
+		Window:        s.cfg.Window,
+		CacheCapacity: s.cfg.CacheCapacity,
+		WithHistory:   s.cfg.WithHistory,
+		Stats:         &sh.stats,
 	})
 	sh.mu.Lock()
 	sh.snap = snap
@@ -255,7 +254,10 @@ func (s *Server) persist(sh *shard, addr etypes.Address) {
 	if !ok {
 		return
 	}
-	_ = s.st.Put(ent) // byte-identical re-puts are skipped inside the store
+	// Byte-identical re-puts are skipped inside the store.
+	if err := s.st.Put(ent); err != nil {
+		s.storeErrs.Add(1)
+	}
 }
 
 // shardFor routes an address to its owning shard (stable FNV-1a hash).
@@ -351,9 +353,8 @@ func (s *Server) Analyze(addrs []etypes.Address) ([]proxion.Item, error) {
 }
 
 // Invalidate drops every cached verdict derived from addr's current
-// bytecode — the server result-cache entry, the owning shard's exact-hash
-// verdict, and its structural family — and returns how many tiers held
-// one. An analysis of addr already in flight is waited out first: finish
+// bytecode — the server result-cache entry and the owning shard's
+// exact-hash verdict — and returns how many tiers held one. An analysis of addr already in flight is waited out first: finish
 // publishes to the result cache before clearing the flight table, so the
 // removal below also covers that publication and an upgrade racing a
 // mid-analysis lookup can never leave a pre-upgrade verdict behind. The
@@ -374,11 +375,6 @@ func (s *Server) Invalidate(addr etypes.Address) (int, error) {
 	re := chain.CaptureReadError(func() {
 		if sh.detector.InvalidateVerdict(sh.reader.CodeHash(addr)) {
 			n++
-		}
-		if code := sh.reader.Code(addr); len(code) > 0 {
-			if sh.detector.InvalidateStructural(static.Fingerprint(code)) {
-				n++
-			}
 		}
 	})
 	if re != nil {
@@ -408,6 +404,7 @@ func (s *Server) Counters() Counters {
 		ResultCacheHits: s.cacheHits.Load(),
 		Coalesced:       s.coalesced.Load(),
 		Analyses:        s.analyses.Load(),
+		StoreErrors:     s.storeErrs.Load(),
 	}
 }
 

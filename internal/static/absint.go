@@ -10,7 +10,7 @@ import (
 )
 
 // Analysis budgets. The dataflow must fully stabilize within these bounds
-// for a summary to be promotion-grade; exceeding any of them sets
+// for a summary to be trusted; exceeding any of them sets
 // Summary.Truncated. Real proxy shapes (stamps, dispatchers, storage
 // forwarders, diamonds) stabilize in one or two visits per block.
 const (
@@ -263,7 +263,7 @@ func (a *analysis) run() {
 		if a.visits[idx] >= maxBlockVisits {
 			// The entry state changed but the revisit budget is gone:
 			// the dataflow did not stabilize, so the summary must not
-			// be trusted for verdict promotion.
+			// be trusted.
 			a.truncated = true
 			continue
 		}

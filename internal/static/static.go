@@ -9,9 +9,10 @@
 // implementation address, or compiler twins differing only in an embedded
 // constant — normalize to the same key.
 //
-// The analysis never executes code and never reads chain state; it is the
-// emulation-free fast path that the dynamic engine (internal/proxion)
-// cross-checks against and uses to promote verdicts across near-clones.
+// The analysis never executes code and never reads chain state; it is an
+// emulation-free second reading of the bytecode that the static oracle
+// holds against the dynamic engine (internal/proxion), which stays ground
+// truth.
 // Everything here is deterministic: the same bytecode always yields the
 // same Summary, byte for byte.
 package static
@@ -27,9 +28,8 @@ import (
 // maskWidth is the minimum PUSH immediate width (in bytes) treated as an
 // embedded environment-specific constant. 20 bytes is an address; salts and
 // code hashes are 32. Immediates this wide are excluded from the structural
-// fingerprint and taint every value derived from them, so two contracts
-// may only share a fingerprint if no such constant can influence control
-// flow in a way the promotion protocol cannot re-anchor per contract.
+// fingerprint and taint every value derived from them (see MaskedImmFlow
+// and TargetTainted).
 const maskWidth = 20
 
 // Provenance classifies where a DELEGATECALL target address comes from.
@@ -85,8 +85,8 @@ type DelegateCall struct {
 	// TargetTainted reports that the target value depends on a masked
 	// immediate in a way the provenance fields do not capture (for
 	// example an address computed from a salt, or a slot load combined
-	// with a non-canonical mask). Verdicts must not be shared across a
-	// structural clone family when this is set.
+	// with a non-canonical mask). Contracts sharing a fingerprint may then
+	// delegate to different targets.
 	TargetTainted bool
 }
 
@@ -122,7 +122,7 @@ type Summary struct {
 	// from one) influences control flow: it feeds a JUMP/JUMPI target or
 	// a comparison whose result feeds a branch condition. Two contracts
 	// sharing a fingerprint but differing in such an immediate can take
-	// different paths, so verdict promotion must refuse the family.
+	// different paths, so the fingerprint says nothing about behaviour.
 	MaskedImmFlow bool
 	// Truncated reports that an analysis budget (block revisits or total
 	// abstract steps) was exhausted before the dataflow stabilized. The

@@ -126,8 +126,8 @@ func TestAnalyzeStorageProxy(t *testing.T) {
 
 func TestStorageProxyTwinsShareFingerprint(t *testing.T) {
 	// Two 32-byte implementation slots: the wide PUSH32 immediates are
-	// masked, so the twins normalize identically; the promotion protocol
-	// must re-anchor the slot per contract.
+	// masked, so the twins normalize identically while each summary still
+	// reports its own slot.
 	slotA := etypes.Keccak([]byte("slot.a"))
 	slotB := etypes.Keccak([]byte("slot.b"))
 	a := storageProxy(t, slotA)
@@ -249,7 +249,7 @@ func TestCalldataTargetProvenance(t *testing.T) {
 func TestMaskedImmFlowOnWideJumpTarget(t *testing.T) {
 	// PUSH32 <jumpdest> JUMP: a masked immediate decides control flow, so
 	// two codes sharing this fingerprint can diverge — the summary must
-	// refuse promotion via MaskedImmFlow.
+	// flag it via MaskedImmFlow.
 	var imm [32]byte
 	imm[31] = 34 // the JUMPDEST below: 1 + 32 (PUSH32) + 1 (JUMP)
 	code := (&asm.Program{}).
@@ -329,7 +329,7 @@ func TestAnalyzeLoopStabilizes(t *testing.T) {
 
 func TestAnalyzeBudgetExhaustionMarksTruncated(t *testing.T) {
 	// White-box: a summary produced under an exhausted step budget must
-	// be flagged Truncated so the promotion protocol refuses it.
+	// be flagged Truncated so consumers know not to trust it.
 	code := storageProxy(t, slot1967,
 		solc.Func{ABI: fn("owner()"), Body: []solc.Stmt{solc.ReturnCaller{}}})
 	a := newAnalysis(code)

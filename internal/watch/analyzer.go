@@ -4,7 +4,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/proxion"
-	"repro/internal/static"
 	"repro/internal/store"
 )
 
@@ -19,8 +18,9 @@ type Analyzer interface {
 	// One item per address, in input order.
 	Analyze(addrs []etypes.Address) ([]proxion.Item, error)
 	// Invalidate drops every cached verdict derived from addr's current
-	// bytecode — the exact-hash entry and the structural family — and
-	// returns how many tiers actually held one. The persistent store is
+	// bytecode — the exact-hash entry, plus the result cache where the
+	// implementation has one — and returns how many tiers actually held
+	// one. The persistent store is
 	// not touched here: the re-analysis that follows supersedes its entry
 	// (append-only, last record wins), which is what keeps a crash
 	// between invalidation and re-analysis recoverable.
@@ -81,19 +81,12 @@ func (a *DetectorAnalyzer) persist(addr etypes.Address) {
 	}
 }
 
-// Invalidate drops the exact-hash verdict and the structural family for
-// addr's current bytecode.
+// Invalidate drops the exact-hash verdict for addr's current bytecode.
 func (a *DetectorAnalyzer) Invalidate(addr etypes.Address) (int, error) {
 	n := 0
 	re := chain.CaptureReadError(func() {
-		r := a.Detector.Chain()
-		if a.Detector.InvalidateVerdict(r.CodeHash(addr)) {
+		if a.Detector.InvalidateVerdict(a.Detector.Chain().CodeHash(addr)) {
 			n++
-		}
-		if code := r.Code(addr); len(code) > 0 {
-			if a.Detector.InvalidateStructural(static.Fingerprint(code)) {
-				n++
-			}
 		}
 	})
 	if re != nil {

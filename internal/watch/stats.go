@@ -28,8 +28,8 @@ type StatsSnapshot struct {
 	DeploymentsSeen uint64 `json:"deployments_seen"`
 	// UpgradesDetected counts watched-cell value changes handled.
 	UpgradesDetected uint64 `json:"upgrades_detected"`
-	// Invalidations counts cache tiers actually dropped (exact-hash,
-	// structural family, service result cache) across all upgrades.
+	// Invalidations counts cache tiers actually dropped (exact-hash
+	// verdict, service result cache) across all upgrades.
 	Invalidations uint64 `json:"invalidations"`
 	// Reanalyses counts post-upgrade re-analysis runs.
 	Reanalyses uint64 `json:"reanalyses"`

@@ -19,7 +19,7 @@
 // refuses heads at or below the cursor.
 //
 // Invalidation granularity: an upgrade invalidates the proxy's exact
-// bytecode-hash verdict and its structural family, nothing else. Slot
+// bytecode-hash verdict, nothing else. Slot
 // proxies technically survive without invalidation (verdict transfer
 // re-anchors by re-reading the implementation slot), but the cached
 // verdict still pins the guard fingerprint taken at probe time; beacon
