@@ -2,7 +2,7 @@
 # push, `make fuzz` is the scheduled deep run, `make bench-gate` is the
 # pull-request performance gate.
 
-.PHONY: build vet test short race bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity
+.PHONY: build vet test short race bench bench-gate bench-baseline chaos ci fuzz soak serve lint watch parity perfbench-check
 
 # Per-target budget for the native fuzz engines in `make fuzz`.
 FUZZTIME ?= 60s
@@ -86,13 +86,22 @@ watch:
 # Interpreter lockstep gate under the race detector: the two EVM loops
 # (pre-decoded fast path vs the retained reference) executed against
 # identical state and diffed on every observable — structlog traces, call
-# trees, outputs, gas, and state-mutation order — over hand-written fused
-# idioms, boundary sweeps, and the full generator taxonomy.
+# trees, outputs, gas, and state-mutation order — over hand-written jump
+# and dispatcher idioms, boundary sweeps, and the full generator taxonomy.
+# Production emulation is always traced; each case also runs the fast
+# loop untraced so its tracer-free path stays held to the reference.
 # INTERP_SWEEP=N widens the nightly run with N fresh corpus seeds.
 parity:
 	go test -race ./internal/evm/parity -count=1 -timeout 20m
 	INTERP_SWEEP=$(INTERP_SWEEP) go test -race ./internal/gen/oracle \
 		-run 'TestInterpParity' -count=1 -timeout 30m
+
+# Benchmark-harness compile check: perfbench/ is its own module (it
+# imports evm, proxion, serve, store and chain through a replace
+# directive), so `go build ./...` never compiles it. Vet it and run its
+# self-test so an API change cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && GOWORK=off go vet . && go test .
 
 # Bounded-memory streaming soak: one long stream-landscape run (default
 # 1M contracts, ~6 minutes) with per-item latency percentiles and peak

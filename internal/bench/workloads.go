@@ -148,13 +148,6 @@ func Suite(p Profile) []Workload {
 			Batch: 4,
 			Setup: setupEVMLoop(evm.InterpReference),
 		},
-		{
-			Name:  "evm/interp-fused",
-			Desc:  "selector-dispatcher chain exercising the fused superinstructions (dispatch, dup-branch)",
-			Scale: d.evmLoop / 4,
-			Batch: 4,
-			Setup: setupEVMFused,
-		},
 	}
 }
 
@@ -320,8 +313,11 @@ func setupStorageSlicing(seed int64, scale int) Instance {
 // iteration: arithmetic, MSTORE, conditional jump) — a floor on raw
 // interpreter speed that isolates the EVM from detection logic. The step
 // count is derived from the loop structure, so it is deterministic by
-// construction; a tracer is deliberately not installed, keeping the timing
-// free of per-step callback overhead. The interpreter mode is a parameter:
+// construction. No tracer is installed, so the timing excludes per-step
+// callback overhead; production emulation (the detector's probe, the
+// exploit replay, chain transactions) always traces, so this is a floor on
+// the loop itself rather than the cost a probe sees. The interpreter mode
+// is a parameter:
 // interp-loop measures the pre-decoded fast path, interp-reference the
 // retained byte-at-a-time loop, and their ratio is the fast path's uplift
 // as a gated quantity.
@@ -350,46 +346,6 @@ func setupEVMLoop(mode evm.InterpMode) func(seed int64, scale int) Instance {
 			"loop_iterations": int64(scale),
 		})
 	}
-}
-
-// setupEVMFused interprets a dispatcher-shaped loop: each iteration walks a
-// chain of 16 Solidity-style selector comparisons (DUP1; PUSH4 sel; EQ;
-// PUSH2 dest; JUMPI — the fast path fuses the latter four into one
-// kindDispatch superinstruction) that all miss, then branches back through
-// a fused DUP1; PUSH2; JUMPI. This is the superinstruction-dense profile
-// real proxy fallbacks present to the detector's probes.
-func setupEVMFused(seed int64, scale int) Instance {
-	const arms = 16
-	p := &asm.Program{}
-	p.PushUint(uint64(scale))   //                  [n]
-	p.Label("loop")             // JUMPDEST         [n]
-	p.PushUint(0xdeadbeef)      //                  [n, sel]
-	for i := 0; i < arms; i++ { //                  (all compares miss)
-		p.Op(evm.DUP1)
-		p.PushBytes([]byte{0xaa, 0xbb, 0xcc, byte(i)}) // PUSH4
-		p.Op(evm.EQ)
-		p.JumpI("dead")
-	}
-	p.Op(evm.POP)   //                               [n]
-	p.PushUint(1)   //                               [n, 1]
-	p.Op(evm.SWAP1) //                               [1, n]
-	p.Op(evm.SUB)   //                               [n-1]
-	p.Op(evm.DUP1)  //                               [n-1, n-1]
-	p.JumpI("loop") // fused DUP1+PUSH2+JUMPI        [n-1]
-	p.Op(evm.STOP)
-	p.Label("dead")
-	p.Op(evm.INVALID)
-	code := p.MustAssemble()
-
-	// 1 prologue push, then per iteration: JUMPDEST, PUSH4 const, 5 source
-	// instructions per arm, POP, PUSH1, SWAP1, SUB, DUP1, PUSH2, JUMPI; the
-	// last iteration falls through to STOP.
-	steps := int64(1 + (2+5*arms+7)*scale + 1)
-	return evmCallInstance(evm.InterpFast, code, nil, steps, map[string]int64{
-		"evm_steps":       steps,
-		"dispatch_arms":   arms,
-		"loop_iterations": int64(scale),
-	})
 }
 
 // evmCallInstance builds the shared Instance shape of the raw-interpreter

@@ -4,11 +4,10 @@
 // It executes the same call against the same state under each interpreter
 // and compares every observable — per-step structlog traces, the call
 // tree, outputs, errors, remaining gas, and the exact sequence of state
-// mutations. A third run exercises the fused (untraced) fast path, whose
-// superinstructions are invisible to tracers by design, against the
-// reference outcome. The oracle layer (gen/oracle.CheckInterpParity) and
-// FuzzInterpParity drive this over the generator taxonomy and arbitrary
-// bytecode respectively.
+// mutations. A third run executes the fast path with no tracer installed,
+// so its tracer-free branches are held to the reference outcome too. The
+// oracle layer (gen/oracle.CheckInterpParity) and FuzzInterpParity drive
+// this over the generator taxonomy and arbitrary bytecode respectively.
 package parity
 
 import (
@@ -99,15 +98,17 @@ func Run(state evm.StateDB, spec Spec, mode evm.InterpMode, traced bool) Outcome
 
 // Check runs spec under both interpreters and returns every divergence.
 // Three runs: reference traced, fast traced (compared step-by-step against
-// the reference trace), and fast untraced — the production configuration,
-// where fusion is active — compared on outcome and state mutations.
+// the reference trace), and fast untraced, compared on outcome and state
+// mutations. Production emulation always installs a tracer; the untraced
+// run keeps the fast loop's tracer == nil path, which Chain.StaticCall and
+// the interpreter benchmarks take, under differential test.
 func Check(state evm.StateDB, spec Spec) []Mismatch {
 	ref := Run(state, spec, evm.InterpReference, true)
 	fast := Run(state, spec, evm.InterpFast, true)
 	ms := DiffLockstep("fast-traced", ref, fast)
 
-	fused := Run(state, spec, evm.InterpFast, false)
-	ms = append(ms, DiffOutcome("fast-fused", ref, fused)...)
+	untraced := Run(state, spec, evm.InterpFast, false)
+	ms = append(ms, DiffOutcome("fast-untraced", ref, untraced)...)
 	return ms
 }
 

@@ -38,8 +38,8 @@ func checkCode(t *testing.T, code, input []byte, gas uint64) {
 }
 
 // dispatcherCode assembles a Solidity-style selector dispatcher: N
-// PUSH4/EQ/JUMPI arms, each arm returning its index. This is exactly the
-// idiom the kindDispatch superinstruction fuses.
+// PUSH4/EQ/JUMPI arms, each arm returning its index — the shape of every
+// Solidity contract's entry point.
 func dispatcherCode(arms int) []byte {
 	p := (&asm.Program{})
 	p.PushUint(0).Op(evm.CALLDATALOAD).PushUint(224).Op(evm.SHR)
@@ -73,7 +73,9 @@ func TestParityDispatcher(t *testing.T) {
 	checkCode(t, code, nil, 1_000_000)                // empty calldata
 }
 
-// TestParityFusedIdioms covers each superinstruction shape individually.
+// TestParityFusedIdioms covers the short jump and stack idioms compilers
+// emit (PUSH;JUMP(I), DUPn;PUSH;JUMPI, SWAPn;POP) one by one, plus invalid
+// jumps, truncated pushes and undefined opcodes.
 func TestParityFusedIdioms(t *testing.T) {
 	cases := map[string][]byte{
 		// PUSH dest; JUMP
@@ -106,7 +108,7 @@ func TestParityFusedIdioms(t *testing.T) {
 			PushUint(10).PushUint(20).Op(evm.SWAP1, evm.POP).
 			PushUint(0).Op(evm.MSTORE).PushUint(32).PushUint(0).Op(evm.RETURN).
 			MustAssemble(),
-		// Jump to a non-JUMPDEST: fused PUSH/JUMP with invalid dest
+		// Jump to a non-JUMPDEST: PUSH/JUMP with invalid dest
 		"push-jump-invalid": (&asm.Program{}).
 			PushUint(1).Op(evm.JUMP).Op(evm.STOP).
 			MustAssemble(),
@@ -134,9 +136,10 @@ func TestParityFusedIdioms(t *testing.T) {
 	}
 }
 
-// TestParityFusedFallback forces the fused fast-precondition to fail so
-// fusedSlow replays components: exhausted gas mid-sequence, the step limit
-// landing inside a fused pair, and stack underflow at the JUMPI component.
+// TestParityFusedFallback drives the dispatcher and loop idioms into their
+// failure boundaries: gas exhausted at every instruction of the selector
+// compare, the step limit landing on every instruction of a loop body, and
+// stack underflow at a JUMPI.
 func TestParityFusedFallback(t *testing.T) {
 	// Gas runs out inside the dispatcher sequence for low budgets; sweep
 	// budgets so every component boundary is hit.
@@ -151,7 +154,7 @@ func TestParityFusedFallback(t *testing.T) {
 		MustAssemble()
 	checkCode(t, underflow, nil, 100_000)
 
-	// Step limits landing on every component of a fused loop body.
+	// Step limits landing on every instruction of the loop body.
 	loop := (&asm.Program{}).
 		Label("top").PushUint(1).Op(evm.POP).Jump("top").
 		MustAssemble()

@@ -1,6 +1,8 @@
 package watch
 
 import (
+	"sync/atomic"
+
 	"repro/internal/chain"
 	"repro/internal/etypes"
 	"repro/internal/proxion"
@@ -41,6 +43,8 @@ type DetectorAnalyzer struct {
 	// NewDetectorAnalyzer so upgrade re-analyses carry the full logic
 	// timeline (Algorithm 1).
 	Options proxion.AnalyzeOptions
+
+	storeErrs atomic.Int64
 }
 
 // NewDetectorAnalyzer builds the standalone analyzer with history
@@ -70,16 +74,24 @@ func (a *DetectorAnalyzer) Analyze(addrs []etypes.Address) ([]proxion.Item, erro
 }
 
 // persist mirrors the serve layer's store write: export the bytecode's
-// verdict entry and append it (byte-identical re-puts are skipped).
+// verdict entry and append it (byte-identical re-puts are skipped). A
+// failed append is counted, not fatal: the verdict is still returned and
+// cached in memory, only its persistence is lost.
 func (a *DetectorAnalyzer) persist(addr etypes.Address) {
 	var codeHash etypes.Hash
 	if re := chain.CaptureReadError(func() { codeHash = a.Detector.Chain().CodeHash(addr) }); re != nil {
 		return
 	}
 	if ent, ok := a.Detector.ExportVerdict(codeHash); ok {
-		_ = a.Store.Put(ent)
+		if err := a.Store.Put(ent); err != nil {
+			a.storeErrs.Add(1)
+		}
 	}
 }
+
+// StoreErrors reports how many verdict-store appends have failed, the
+// counterpart of serve.Counters.StoreErrors.
+func (a *DetectorAnalyzer) StoreErrors() int64 { return a.storeErrs.Load() }
 
 // Invalidate drops the exact-hash verdict for addr's current bytecode.
 func (a *DetectorAnalyzer) Invalidate(addr etypes.Address) (int, error) {
